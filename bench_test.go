@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,14 +252,31 @@ func BenchmarkAblationSamplingRate(b *testing.B) {
 // fleetSpec builds a dev00=kind,... spec of size stations cycling over
 // kinds.
 func fleetSpec(size int, kinds []string) string {
-	spec := ""
+	var sb strings.Builder
 	for i := 0; i < size; i++ {
 		if i > 0 {
-			spec += ","
+			sb.WriteByte(',')
 		}
-		spec += fmt.Sprintf("dev%03d=%s", i, kinds[i%len(kinds)])
+		fmt.Fprintf(&sb, "dev%03d=%s", i, kinds[i%len(kinds)])
 	}
-	return spec
+	return sb.String()
+}
+
+// TestFleetSpec pins fleetSpec's output against the spec spelled out
+// entry by entry: the benchmarks' fleets must not change with how the
+// spec string is built.
+func TestFleetSpec(t *testing.T) {
+	for _, kinds := range [][]string{{"synth"}, {"synth", "nvml", "rapl"}} {
+		for _, size := range []int{0, 1, 3, 1000, 10240} {
+			entries := make([]string, size)
+			for i := range entries {
+				entries[i] = fmt.Sprintf("dev%03d=%s", i, kinds[i%len(kinds)])
+			}
+			if got, want := fleetSpec(size, kinds), strings.Join(entries, ","); got != want {
+				t.Errorf("fleetSpec(%d, %v) differs from the entry-by-entry spec", size, kinds)
+			}
+		}
+	}
 }
 
 // BenchmarkFleetIngest measures steady-state fleet ingest end to end at

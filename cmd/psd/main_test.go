@@ -90,11 +90,36 @@ func TestServeFleet(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("/api/fleet: status %d", code)
 	}
-	for _, want := range []string{`"backend": "powersensor3"`, `"backend": "nvml"`,
-		`"backend": "rapl"`, `"backend": "powersensor3+resample+calib"`,
-		`"backend": "rapl+ratelimit"`, `"rate_hz": 20000`, `"rate_hz": 1000`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/api/fleet missing %q", want)
+	// Backend and native rate by station, decoded rather than matched as
+	// text so the assertion holds whatever the body's layout.
+	var fleetView struct {
+		Devices []struct {
+			Name    string  `json:"name"`
+			Backend string  `json:"backend"`
+			RateHz  float64 `json:"rate_hz"`
+		} `json:"devices"`
+	}
+	if err := json.Unmarshal([]byte(body), &fleetView); err != nil {
+		t.Fatalf("/api/fleet: %v", err)
+	}
+	type backendRate struct {
+		backend string
+		rate    float64
+	}
+	gotFleet := make(map[string]backendRate)
+	for _, d := range fleetView.Devices {
+		gotFleet[d.Name] = backendRate{d.Backend, d.RateHz}
+	}
+	for name, want := range map[string]backendRate{
+		"gpu0":    {"powersensor3", 20000},
+		"gpu0sw":  {"nvml", 10},
+		"cpu0":    {"rapl", 1000},
+		"gpu0lo":  {"powersensor3+resample+calib", 1000},
+		"cpu0lim": {"rapl+ratelimit", 100},
+	} {
+		if got, ok := gotFleet[name]; !ok || got != want {
+			t.Errorf("/api/fleet %s: backend=%q rate=%v, want %q at %v",
+				name, got.backend, got.rate, want.backend, want.rate)
 		}
 	}
 	// Traces serve from hardware, software and derived stations alike.

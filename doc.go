@@ -258,7 +258,21 @@
 // scrape over quiet leaves is therefore segment memcpys plus a
 // self-telemetry tail: measured ~350-400 ns/station at 9 allocs/op vs
 // ~800 ns/station for the render the cache skips (BENCH_fleet.json,
-// federation section). Per-leaf observability exports as
+// federation section).
+//
+// The /api/fleet body is compact JSON from a hand-written encoder
+// (export.AppendFleetJSON), byte-identical to json.Marshal of the same
+// export.FleetJSON value plus a newline. The head reads it with a
+// matching decoder (export.DecodeFleetJSON) that accepts only what
+// json.Unmarshal accepts, decodes to the same value, and shares
+// unchanged station strings and channel lists with the leaf's previous
+// view, so a steady-state decode allocates two objects at any fleet
+// size. Both ends are fuzzed against encoding/json. The decoder skips
+// whitespace anywhere, so the indented body older leaves serve still
+// decodes during a rolling upgrade; the schema stays at 1 because no
+// field changed meaning.
+//
+// Per-leaf observability exports as
 // powersensor_leaf_* families — up, stations, generation, breaker
 // state, consecutive failures, breaker opens, polls, failures,
 // renders, and a poll-latency histogram — with leaf up/down and

@@ -864,7 +864,8 @@ func escapeLabel(s string) string {
 // the fleet sits at the same block-boundary fingerprint. The generation
 // loads before the snapshot, so a block landing between the two reads
 // makes the ETag conservatively old — the client refetches, never serves
-// stale.
+// stale. The snapshot and the body render into the pooled scrape state,
+// and no lock is held while the body goes out.
 func (e *Exporter) fleetJSON(w http.ResponseWriter, r *http.Request) {
 	gen := e.mgr.Gen()
 	etag := FleetETag(gen)
@@ -873,14 +874,17 @@ func (e *Exporter) fleetJSON(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	st := e.scratch.Get().(*scrapeState)
+	st.snap = e.mgr.SnapshotInto(st.snap[:0])
+	devs := st.snap
+	if len(devs) == 0 {
+		devs = nil // an empty fleet serves "devices":null, as Snapshot() always has
+	}
+	st.buf = AppendFleetJSON(st.buf[:0], gen, devs)
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(FleetJSON{
-		Schema:     FleetSchemaVersion,
-		Generation: gen,
-		Devices:    e.mgr.Snapshot(),
-	})
+	w.Header().Set("Content-Length", strconv.Itoa(len(st.buf)))
+	_, _ = w.Write(st.buf)
+	e.scratch.Put(st)
 }
 
 // eventLog is the /api/events response body: the most recent lifecycle

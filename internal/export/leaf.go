@@ -1,7 +1,7 @@
-// Leaf-facing surface of the exporter: the versioned /api/fleet wire
-// format a federation head consumes, and the per-leaf exposition segment
-// renderer the head uses to merge many leaf fleets into one namespaced
-// /metrics body. The renderer reuses the per-shard segment shape of the
+// Leaf-facing surface of the exporter: the per-leaf exposition segment
+// renderer a federation head uses to merge many leaf fleets into one
+// namespaced /metrics body (the /api/fleet wire codec it polls them with
+// is in fleetjson.go). The renderer reuses the per-shard segment shape of the
 // exporter's own scrape path — family-major rows into an offset-indexed
 // buffer, cached label blocks, assembly by concatenation — with a leaf
 // label folded into every label block so duplicate station names across
@@ -11,37 +11,10 @@ package export
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
-
-// FleetSchemaVersion is the wire-format version of the /api/fleet JSON
-// body. A federation head refuses a leaf whose schema differs — leaf and
-// head builds skewing apart must fail loudly at the poll, not silently
-// misrender stations. Bump it whenever a field the head consumes
-// changes meaning or shape.
-const FleetSchemaVersion = 1
-
-// FleetJSON is the /api/fleet response body — the leaf side of the
-// federation wire format. Schema pins the format version, Generation is
-// the fleet's block-boundary fingerprint (fleet.Manager.Gen; it also
-// backs the endpoint's ETag, so a head can skip both the body transfer
-// and its own re-render while a leaf is quiet), and Devices carries the
-// per-station statuses with everything a head consumes: health, backend,
-// native rate, and the lifecycle state.
-type FleetJSON struct {
-	Schema     int            `json:"schema"`
-	Generation uint64         `json:"generation"`
-	Devices    []fleet.Status `json:"devices"`
-}
-
-// FleetETag renders the /api/fleet ETag for a generation fingerprint.
-// Shared by the serving side and any client building If-None-Match.
-func FleetETag(gen uint64) string {
-	return `"ps-` + strconv.FormatUint(gen, 16) + `"`
-}
 
 // NumDevFamilies is the number of per-device exposition families a
 // LeafRenderer renders — the same family set, in the same order, as the

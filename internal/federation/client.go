@@ -7,13 +7,13 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
 	"repro/internal/export"
+	"repro/internal/fleet"
 )
 
 // maxFleetBody bounds how many bytes of /api/fleet body the head will
@@ -26,15 +26,23 @@ type leafClient struct {
 	name string
 	url  string // base URL, no trailing slash
 	http *http.Client
+
+	// body is the read buffer of the last /api/fleet response, reused by
+	// the next poll. The head runs one poll per leaf at a time, and the
+	// decoded view copies what it keeps, so the buffer is free again
+	// once fetchFleet returns.
+	body []byte
 }
 
 // fetchFleet GETs the leaf's /api/fleet. etag, when non-empty, rides as
 // If-None-Match: a quiet leaf answers 304 with no body and fetchFleet
-// returns notModified with a nil view. A decoded body whose schema
-// differs from the head's own export.FleetSchemaVersion is an error —
-// leaf/head version skew fails loudly at the poll rather than
+// returns notModified with a nil view. prev is the leaf's previous view,
+// whose strings and channel lists the new one shares where unchanged
+// (see export.DecodeFleetJSON); it is only read. A decoded body whose
+// schema differs from the head's own export.FleetSchemaVersion is an
+// error — leaf/head version skew fails loudly at the poll rather than
 // misrendering stations.
-func (c *leafClient) fetchFleet(ctx context.Context, etag string) (view *export.FleetJSON, newETag string, notModified bool, err error) {
+func (c *leafClient) fetchFleet(ctx context.Context, etag string, prev []fleet.Status) (view *export.FleetJSON, newETag string, notModified bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url+"/api/fleet", nil)
 	if err != nil {
 		return nil, "", false, err
@@ -58,15 +66,41 @@ func (c *leafClient) fetchFleet(ctx context.Context, etag string) (view *export.
 	default:
 		return nil, "", false, fmt.Errorf("leaf %s: /api/fleet: status %d", c.name, resp.StatusCode)
 	}
-	var v export.FleetJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxFleetBody)).Decode(&v); err != nil {
+	c.body, err = readBody(c.body[:0], resp.Body, resp.ContentLength)
+	if err != nil {
 		return nil, "", false, fmt.Errorf("leaf %s: /api/fleet: %w", c.name, err)
+	}
+	v := new(export.FleetJSON)
+	if err := export.DecodeFleetJSON(c.body, v, prev); err != nil {
+		return nil, "", false, fmt.Errorf("leaf %s: %w", c.name, err)
 	}
 	if v.Schema != export.FleetSchemaVersion {
 		return nil, "", false, fmt.Errorf("leaf %s: schema skew: leaf serves %d, head wants %d",
 			c.name, v.Schema, export.FleetSchemaVersion)
 	}
-	return &v, resp.Header.Get("ETag"), false, nil
+	return v, resp.Header.Get("ETag"), false, nil
+}
+
+// readBody appends at most maxFleetBody bytes of r to buf, growing it
+// once up front when the response declares its length.
+func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
+	if declared > 0 && declared <= maxFleetBody && int64(cap(buf)) < declared {
+		buf = make([]byte, 0, declared)
+	}
+	lr := io.LimitedReader{R: r, N: maxFleetBody}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // trimURL normalises a leaf base URL: a bare host:port gains the http

@@ -365,6 +365,10 @@ func (h *Head) pollLeaf(ctx context.Context, ls *leafState) {
 	}
 	ls.inflight = true
 	etag := ls.etag
+	var prev []fleet.Status
+	if ls.view != nil {
+		prev = ls.view.Devices
+	}
 	ls.mu.Unlock()
 	defer func() {
 		ls.mu.Lock()
@@ -380,7 +384,7 @@ func (h *Head) pollLeaf(ctx context.Context, ls *leafState) {
 
 	ls.polls.Add(1)
 	began := time.Now()
-	view, newETag, notModified, err := h.fetch(ctx, ls, etag)
+	view, newETag, notModified, err := h.fetch(ctx, ls, etag, prev)
 	ls.scrapeHist.Record(time.Since(began))
 	if err != nil {
 		ls.failures.Add(1)
@@ -397,11 +401,11 @@ func (h *Head) pollLeaf(ctx context.Context, ls *leafState) {
 // fetch attempts the leaf's /api/fleet up to 1+Retries times, each
 // attempt under its own Timeout, backing off exponentially between
 // attempts. Cancellation of ctx (head stopping) aborts the retry loop.
-func (h *Head) fetch(ctx context.Context, ls *leafState, etag string) (view *export.FleetJSON, newETag string, notModified bool, err error) {
+func (h *Head) fetch(ctx context.Context, ls *leafState, etag string, prev []fleet.Status) (view *export.FleetJSON, newETag string, notModified bool, err error) {
 	backoff := h.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		actx, cancel := context.WithTimeout(ctx, h.cfg.Timeout)
-		view, newETag, notModified, err = ls.client.fetchFleet(actx, etag)
+		view, newETag, notModified, err = ls.client.fetchFleet(actx, etag, prev)
 		cancel()
 		if err == nil || attempt >= h.cfg.Retries || ctx.Err() != nil {
 			return view, newETag, notModified, err

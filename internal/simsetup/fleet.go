@@ -11,6 +11,7 @@ package simsetup
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -210,28 +211,28 @@ func parseStages(specs []string, seed uint64) ([]pipeline.Stage, error) {
 		name, arg, _ := strings.Cut(s, ":")
 		switch name {
 		case "resample":
-			hz, err := strconv.ParseFloat(arg, 64)
+			hz, err := parseFinite(arg)
 			if err != nil || hz <= 0 {
-				return nil, bad("resample:HZ with HZ > 0")
+				return nil, bad("resample:HZ with finite HZ > 0")
 			}
 			stages = append(stages, pipeline.Resample(hz))
 		case "calib":
 			gainStr, offStr, hasOff := strings.Cut(arg, ":")
-			gain, err := strconv.ParseFloat(gainStr, 64)
+			gain, err := parseFinite(gainStr)
 			if err != nil {
-				return nil, bad("calib:GAIN[:OFFSET]")
+				return nil, bad("calib:GAIN[:OFFSET] with finite GAIN and OFFSET")
 			}
 			offset := 0.0
 			if hasOff {
-				if offset, err = strconv.ParseFloat(offStr, 64); err != nil {
-					return nil, bad("calib:GAIN[:OFFSET]")
+				if offset, err = parseFinite(offStr); err != nil {
+					return nil, bad("calib:GAIN[:OFFSET] with finite GAIN and OFFSET")
 				}
 			}
 			stages = append(stages, pipeline.Calibrate(gain, offset))
 		case "ratelimit":
-			hz, err := strconv.ParseFloat(arg, 64)
+			hz, err := parseFinite(arg)
 			if err != nil || hz <= 0 {
-				return nil, bad("ratelimit:HZ with HZ > 0")
+				return nil, bad("ratelimit:HZ with finite HZ > 0")
 			}
 			stages = append(stages, pipeline.RateLimit(hz))
 		case "smooth":
@@ -254,17 +255,17 @@ func parseStages(specs []string, seed uint64) ([]pipeline.Stage, error) {
 			stages = append(stages, pipeline.Stuck(p, dur, stageSeed(seed, pos)))
 		case "spike":
 			pStr, magStr, hasMag := strings.Cut(arg, ":")
-			p, err := strconv.ParseFloat(pStr, 64)
+			p, err := parseFinite(pStr)
 			if err != nil || p < 0 || p > 1 || !hasMag {
 				return nil, bad("spike:P:MAG with P in [0,1]")
 			}
-			mag, err := strconv.ParseFloat(magStr, 64)
+			mag, err := parseFinite(magStr)
 			if err != nil || mag <= 0 || mag == 1 {
-				return nil, bad("spike:P:MAG with MAG > 0 and != 1")
+				return nil, bad("spike:P:MAG with finite MAG > 0 and != 1")
 			}
 			stages = append(stages, pipeline.Spike(p, mag, stageSeed(seed, pos)))
 		case "skew":
-			ppm, err := strconv.ParseFloat(arg, 64)
+			ppm, err := parseFinite(arg)
 			if err != nil || ppm <= -1e6 || ppm >= 1e6 {
 				return nil, bad("skew:PPM with |PPM| < 1e6")
 			}
@@ -291,7 +292,7 @@ func parseProbDur(arg string) (float64, time.Duration, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("missing duration")
 	}
-	p, err := strconv.ParseFloat(pStr, 64)
+	p, err := parseFinite(pStr)
 	if err != nil || p < 0 || p > 1 {
 		return 0, 0, fmt.Errorf("bad probability %q", pStr)
 	}
@@ -300,6 +301,21 @@ func parseProbDur(arg string) (float64, time.Duration, error) {
 		return 0, 0, fmt.Errorf("bad duration %q", durStr)
 	}
 	return p, dur, nil
+}
+
+// parseFinite parses a stage's float argument, rejecting NaN and ±Inf:
+// strconv accepts both spellings, and a NaN slips through every range
+// check (each comparison with NaN is false) into a station whose
+// telemetry then has no JSON form.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite value %q", s)
+	}
+	return v, nil
 }
 
 // NewStation builds one self-driving station of the given plain kind as a

@@ -75,6 +75,46 @@ func TestParseFleetErrors(t *testing.T) {
 	}
 }
 
+// TestParseFleetNonFinite rejects NaN and ±Inf in every float stage
+// parameter. NaN passes any range check (every comparison is false) and
+// an infinite rate or gain would too, so each needs its own check; a
+// station built from one serves telemetry that has no JSON form.
+func TestParseFleetNonFinite(t *testing.T) {
+	for _, kindspec := range []string{
+		"synth|resample:NaN",
+		"synth|resample:Inf",
+		"synth|resample:+Inf",
+		"synth|calib:NaN",
+		"synth|calib:Inf",
+		"synth|calib:-Inf",
+		"synth|calib:1:NaN",
+		"synth|calib:1:inf",
+		"synth|ratelimit:NaN",
+		"synth|ratelimit:Inf",
+		"synth|spike:NaN:2",
+		"synth|spike:0.1:NaN",
+		"synth|spike:0.1:Inf",
+		"synth|skew:NaN",
+		"synth|skew:-Inf",
+		"synth|dropout:NaN:10ms",
+		"synth|stuck:NaN:10ms",
+		"synth|calib:1e400", // out of float64 range
+	} {
+		if _, err := ParseFleet("a="+kindspec, 1); err == nil {
+			t.Errorf("ParseFleet(%q) succeeded, want error", "a="+kindspec)
+		}
+	}
+	// The finite forms of the same stages still build.
+	members, err := ParseFleet("a=synth|resample:1000|calib:0.98:0.25|ratelimit:100|"+
+		"spike:0.01:3|skew:50|dropout:0.1:10ms|stuck:0.1:10ms", 1)
+	if err != nil {
+		t.Fatalf("finite stage parameters rejected: %v", err)
+	}
+	for _, m := range members {
+		m.Src.Close()
+	}
+}
+
 // TestStationsProducePower advances each station kind in isolation and
 // checks its workload actually moves energy — GPU kernels, SoC load, SSD
 // I/O and CPU duty cycles all show up on the station's source, whether it
